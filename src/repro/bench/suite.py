@@ -190,7 +190,7 @@ def _solver_inputs(num_classes: int, variant: int):
 
 
 def _make_solver(num_classes: int):
-    from repro.core.models import OLTPResponseTimeModel
+    from repro.core.modeling import OLTPResponseTimeModel
     from repro.core.solver import PerformanceSolver
     from repro.core.utility import make_utility
 

@@ -83,6 +83,41 @@ def _build_config(args: argparse.Namespace):
     )
 
 
+def _apply_run_defaults(args: argparse.Namespace) -> str:
+    """Fill unset scale flags and seed for a non-scenario run; returns the backend.
+
+    Workload-scale defaults depend on the backend: the sim runs minutes
+    of virtual time for free, the sqlite backend burns real wall-clock.
+    """
+    backend = args.backend if args.backend is not None else "sim"
+    sim_defaults = (9, 120.0, 60.0)
+    sqlite_defaults = (3, 2.0, 1.0)
+    defaults = sim_defaults if backend == "sim" else sqlite_defaults
+    if args.periods is None:
+        args.periods = defaults[0]
+    if args.period_seconds is None:
+        args.period_seconds = defaults[1]
+    if args.control_interval is None:
+        args.control_interval = defaults[2]
+    if args.seed is None:
+        args.seed = 7
+    return backend
+
+
+def _scenario_overrides(args: argparse.Namespace, config) -> dict:
+    """The ``--backend``/``--horizon``/``--model`` overrides of a scenario spec."""
+    overrides = {}
+    if args.backend is not None:
+        overrides["backend"] = args.backend
+    if args.horizon is not None:
+        overrides["horizon"] = args.horizon
+    if getattr(args, "model", None):
+        from repro.experiments.sensitivity import set_config_field
+
+        overrides["config"] = set_config_field(config, "planner.model", args.model)
+    return overrides
+
+
 def _scenario_result(args: argparse.Namespace, hub=None):
     """Resolve, compile and run ``--scenario``; returns the result."""
     from repro.scenarios import find_scenario, to_experiment_spec
@@ -94,18 +129,9 @@ def _scenario_result(args: argparse.Namespace, hub=None):
         invariants=args.invariants,
         seed=args.seed,
     )
-    overrides = {"tracing": bool(args.trace_events)}
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if getattr(args, "model", None):
-        from repro.experiments.sensitivity import set_config_field
-
-        overrides["config"] = set_config_field(
-            spec.config, "planner.model", args.model
-        )
-    spec = spec.with_overrides(**overrides)
+    spec = spec.with_overrides(
+        tracing=bool(args.trace_events), **_scenario_overrides(args, spec.config)
+    )
     print(
         "scenario {} (controller={}, backend={}, {} periods x {:g}s, "
         "invariants={}{})".format(
@@ -201,35 +227,14 @@ def _cmd_run_sharded(args: argparse.Namespace) -> int:
                 router=args.router,
                 rebalance=args.rebalance,
             )
-            overrides = {}
-            if args.backend is not None:
-                overrides["backend"] = args.backend
-            if args.horizon is not None:
-                overrides["horizon"] = args.horizon
-            if getattr(args, "model", None):
-                from repro.experiments.sensitivity import set_config_field
-
-                overrides["config"] = set_config_field(
-                    spec.base.config, "planner.model", args.model
-                )
+            overrides = _scenario_overrides(args, spec.base.config)
             if overrides:
                 spec = spec.with_overrides(
                     base=spec.base.with_overrides(**overrides)
                 ).validate()
             source = "scenario {}".format(scenario.name)
         else:
-            backend = args.backend if args.backend is not None else "sim"
-            sim_defaults = (9, 120.0, 60.0)
-            sqlite_defaults = (3, 2.0, 1.0)
-            defaults = sim_defaults if backend == "sim" else sqlite_defaults
-            if args.periods is None:
-                args.periods = defaults[0]
-            if args.period_seconds is None:
-                args.period_seconds = defaults[1]
-            if args.control_interval is None:
-                args.control_interval = defaults[2]
-            if args.seed is None:
-                args.seed = 7
+            backend = _apply_run_defaults(args)
             base = ExperimentSpec(
                 controller=args.controller,
                 config=_build_config(args),
@@ -355,21 +360,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print("scenario error: {}".format(exc), file=sys.stderr)
             return 2
     else:
-        backend = args.backend if args.backend is not None else "sim"
-        # Workload-scale defaults depend on the backend: the sim runs
-        # minutes of virtual time for free, the sqlite backend burns real
-        # wall-clock.
-        sim_defaults = (9, 120.0, 60.0)
-        sqlite_defaults = (3, 2.0, 1.0)
-        defaults = sim_defaults if backend == "sim" else sqlite_defaults
-        if args.periods is None:
-            args.periods = defaults[0]
-        if args.period_seconds is None:
-            args.period_seconds = defaults[1]
-        if args.control_interval is None:
-            args.control_interval = defaults[2]
-        if args.seed is None:
-            args.seed = 7
+        backend = _apply_run_defaults(args)
         config = _build_config(args)
         hub, server = _start_live(args)
         result = run_spec(

@@ -76,7 +76,7 @@ class SimulationBundle:
     schedule: PeriodSchedule
     manager: ClientPoolManager
     collector: MetricsCollector
-    backend: Optional[ExecutionBackend] = None
+    backend: ExecutionBackend
     controller: Optional[object] = None
 
     def historical_olap_costs(self) -> List[float]:
@@ -101,15 +101,11 @@ class SimulationBundle:
     def run(self, horizon: Optional[float] = None) -> None:
         """Run the deployment to its schedule horizon (or ``horizon``)."""
         end = horizon if horizon is not None else self.schedule.horizon
-        if self.backend is not None:
-            self.backend.run_until(end)
-        else:
-            self.sim.run_until(end)
+        self.backend.run_until(end)
 
     def close(self) -> None:
         """Release backend resources (idempotent; no-op for the sim)."""
-        if self.backend is not None:
-            self.backend.close()
+        self.backend.close()
 
 
 @dataclass
@@ -347,6 +343,119 @@ def make_controller(
     return controller
 
 
+@dataclass
+class Run:
+    """One assembled, started deployment (see :func:`assemble`).
+
+    Advance it through ``run.bundle.run(horizon=...)`` — once, or in
+    slices — then close the bundle and call :meth:`finish` once.
+    """
+
+    spec: ExperimentSpec
+    bundle: SimulationBundle
+    controller: object
+    harness: Optional["ValidationHarness"] = None  # noqa: F821
+    tracer: Optional[QueryTracer] = None
+    publisher: Optional["RunPublisher"] = None  # noqa: F821
+    injector: Optional["FaultInjector"] = None  # noqa: F821
+
+    def finish(self) -> ExperimentResult:
+        """Build the result, with every attached observer in its extras."""
+        bundle = self.bundle
+        result = ExperimentResult(
+            controller_name=self.spec.controller,
+            config=bundle.config,
+            classes=bundle.classes,
+            schedule=bundle.schedule,
+            collector=bundle.collector,
+            bundle=bundle,
+        )
+        if isinstance(self.controller, QueryScheduler):
+            result.extras["telemetry"] = self.controller.telemetry.store
+            result.extras["metrics_registry"] = self.controller.registry
+        if self.harness is not None:
+            result.extras["validation"] = self.harness
+        if self.injector is not None:
+            result.extras["faults"] = self.injector
+        if self.tracer is not None:
+            self.tracer.finalize()
+            result.extras["tracer"] = self.tracer
+        if self.publisher is not None:
+            result.extras["live_publisher"] = self.publisher
+            self.publisher.publish_end(result)
+        return result
+
+
+def assemble(
+    spec: ExperimentSpec,
+    hub: Optional["TelemetryHub"] = None,  # noqa: F821
+    shard: Optional[int] = None,
+) -> Run:
+    """Build and start the deployment ``spec`` describes, not yet advanced.
+
+    Wires the paper's loop and everything observing it, in order: bundle,
+    controller, the collector's plan listener, tracer, invariant harness,
+    live publisher, then starts the controller and client pools and
+    schedules the spec's faults.  The bundle is closed if any step fails.
+    ``hub``/``shard`` are as for :func:`run_spec`; a fleet-level caller
+    (``shard`` set) publishes its own start event.
+    """
+    if spec.backend not in BACKEND_NAMES:
+        raise ConfigurationError(
+            "unknown backend {!r}; expected one of {}".format(
+                spec.backend, BACKEND_NAMES
+            )
+        )
+    bundle = build_bundle(
+        config=spec.config,
+        schedule=spec.schedule,
+        classes=spec.classes,
+        backend=spec.backend,
+        backend_options=dict(spec.backend_options),
+    )
+    try:
+        controller = make_controller(
+            bundle, spec.controller, static_olap_limit=spec.static_olap_limit
+        )
+        if isinstance(controller, QueryScheduler):  # covers qs and qs_detect
+            controller.planner.add_plan_listener(bundle.collector.on_plan)
+        run = Run(spec=spec, bundle=bundle, controller=controller)
+        if spec.tracing:
+            run.tracer = QueryTracer(
+                clock=bundle.sim,
+                patroller=bundle.patroller,
+                engine=bundle.engine,
+                schedule=bundle.schedule,
+            )
+        # The harness attaches after the telemetry and collector listeners
+        # so a check at an interval boundary sees the interval's record
+        # already written (and can embed its violations there).
+        run.harness = attach_harness(bundle, mode=spec.invariants)
+        if hub is not None:
+            from repro.obs.live.publish import RunPublisher
+
+            # After the harness: each interval event then carries the
+            # record with any violations already embedded.
+            run.publisher = RunPublisher(
+                hub, bundle, controller, shard=shard, tracer=run.tracer
+            )
+            run.publisher.attach()
+            if shard is None:
+                run.publisher.publish_start()
+        controller.start()
+        bundle.manager.start()
+        if spec.faults:
+            from repro.faults import FaultInjector
+
+            run.injector = FaultInjector(bundle)
+            for fault in spec.faults:
+                run.injector.apply(fault)
+    except BaseException:
+        bundle.close()
+        raise
+    return run
+
+
 def run_spec(
     spec: ExperimentSpec,
     hub: Optional["TelemetryHub"] = None,  # noqa: F821
@@ -378,83 +487,12 @@ def run_spec(
     removed) before this returns, even on failure; the collected metrics
     remain readable afterwards.
     """
-    if spec.backend not in BACKEND_NAMES:
-        raise ConfigurationError(
-            "unknown backend {!r}; expected one of {}".format(
-                spec.backend, BACKEND_NAMES
-            )
-        )
-    bundle = build_bundle(
-        config=spec.config,
-        schedule=spec.schedule,
-        classes=spec.classes,
-        backend=spec.backend,
-        backend_options=dict(spec.backend_options),
-    )
+    run = assemble(spec, hub=hub, shard=shard)
     try:
-        built = make_controller(
-            bundle, spec.controller, static_olap_limit=spec.static_olap_limit
-        )
-        if isinstance(built, QueryScheduler):  # covers qs and qs_detect
-            built.planner.add_plan_listener(bundle.collector.on_plan)
-        tracer = None
-        if spec.tracing:
-            tracer = QueryTracer(
-                clock=bundle.sim,
-                patroller=bundle.patroller,
-                engine=bundle.engine,
-                schedule=bundle.schedule,
-            )
-        # The harness attaches after the telemetry and collector listeners
-        # so a check at an interval boundary sees the interval's record
-        # already written (and can embed its violations there).
-        harness = attach_harness(bundle, mode=spec.invariants)
-        publisher = None
-        if hub is not None:
-            from repro.obs.live.publish import RunPublisher
-
-            # After the harness: each interval event then carries the
-            # record with any violations already embedded.
-            publisher = RunPublisher(
-                hub, bundle, built, shard=shard, tracer=tracer
-            )
-            publisher.attach()
-            if shard is None:
-                publisher.publish_start()
-        built.start()
-        bundle.manager.start()
-        injector = None
-        if spec.faults:
-            from repro.faults import FaultInjector
-
-            injector = FaultInjector(bundle)
-            for fault in spec.faults:
-                injector.apply(fault)
-        bundle.run(horizon=spec.horizon)
+        run.bundle.run(horizon=spec.horizon)
     finally:
-        bundle.close()
-    result = ExperimentResult(
-        controller_name=spec.controller,
-        config=bundle.config,
-        classes=bundle.classes,
-        schedule=bundle.schedule,
-        collector=bundle.collector,
-        bundle=bundle,
-    )
-    if isinstance(built, QueryScheduler):
-        result.extras["telemetry"] = built.telemetry.store
-        result.extras["metrics_registry"] = built.registry
-    if harness is not None:
-        result.extras["validation"] = harness
-    if injector is not None:
-        result.extras["faults"] = injector
-    if tracer is not None:
-        tracer.finalize()
-        result.extras["tracer"] = tracer
-    if publisher is not None:
-        result.extras["live_publisher"] = publisher
-        publisher.publish_end(result)
-    return result
+        run.bundle.close()
+    return run.finish()
 
 
 def run_experiment(

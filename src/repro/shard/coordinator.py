@@ -44,13 +44,7 @@ from repro.experiments.parallel import (
     run_requests,
     summarize_result,
 )
-from repro.experiments.runner import (
-    ExperimentResult,
-    ExperimentSpec,
-    build_bundle,
-    make_controller,
-    run_spec,
-)
+from repro.experiments.runner import ExperimentSpec, assemble, run_spec
 from repro.shard.invariants import (
     check_completion_conservation,
     check_cost_partition,
@@ -62,7 +56,11 @@ from repro.shard.spec import (
     default_class_weights,
     split_cost_limit,
 )
-from repro.validation import Violation, attach_harness
+from repro.validation import Violation
+
+# Unused here; the benchmark patches these names on this module by attribute.
+from repro.experiments.runner import build_bundle, make_controller  # noqa: F401
+from repro.validation import attach_harness  # noqa: F401
 
 
 @dataclass
@@ -280,10 +278,9 @@ def _run_lockstep(
 ) -> "tuple[List[RunSummary], List[float]]":
     """Advance every shard in control-interval slices, re-splitting limits.
 
-    Mirrors :func:`~repro.experiments.runner.run_spec`'s assembly per
-    shard (bundle, controller, plan listener, per-shard invariant
-    harness), but owns the time loop: all shards run to the same slice
-    boundary before the coordinator reads their live demand and
+    Each shard is assembled exactly as :func:`~repro.experiments.runner.run_spec`
+    assembles a run; the coordinator owns only the time loop: all shards
+    run to the same slice boundary before it reads their live demand and
     retargets every shard solver with its new share.
     """
     base = spec.base
@@ -298,11 +295,6 @@ def _run_lockstep(
             "rebalance='interval' advances shards in virtual-time lockstep "
             "and requires the simulation backend, got {!r}".format(base.backend)
         )
-    if base.tracing or base.faults:
-        raise ConfigurationError(
-            "rebalance='interval' does not support tracing or scheduled "
-            "faults; use rebalance='static'"
-        )
     config = (base.config or default_config()).validate()
     classes = spec.resolved_classes()
     weights = default_class_weights(classes)
@@ -311,36 +303,11 @@ def _run_lockstep(
     floor = spec.cost_floor()
     interval = config.planner.control_interval
 
-    bundles = []
-    controllers = []
-    publishers = []
+    runs = []
     try:
         for index, shard_spec in enumerate(shard_specs):
-            bundle = build_bundle(
-                config=shard_spec.config,
-                schedule=shard_spec.schedule,
-                classes=shard_spec.classes,
-                backend=shard_spec.backend,
-                backend_options=dict(shard_spec.backend_options),
-            )
-            controller = make_controller(
-                bundle,
-                shard_spec.controller,
-                static_olap_limit=shard_spec.static_olap_limit,
-            )
-            controller.planner.add_plan_listener(bundle.collector.on_plan)
-            attach_harness(bundle, mode=shard_spec.invariants)
-            if hub is not None:
-                from repro.obs.live.publish import RunPublisher
-
-                publisher = RunPublisher(hub, bundle, controller, shard=index)
-                publisher.attach()
-                publishers.append(publisher)
-            controller.start()
-            bundle.manager.start()
-            bundles.append(bundle)
-            controllers.append(controller)
-
+            runs.append(assemble(shard_spec, hub=hub, shard=index))
+        bundles = [run.bundle for run in runs]
         horizon = max(bundle.schedule.horizon for bundle in bundles)
         if base.horizon is not None:
             horizon = min(horizon, base.horizon)
@@ -358,8 +325,8 @@ def _run_lockstep(
                 for bundle in bundles
             ]
             limits = split_cost_limit(total_limit, demands, floor)
-            for controller, limit in zip(controllers, limits):
-                controller.solver.set_system_cost_limit(limit)
+            for run, limit in zip(runs, limits):
+                run.controller.solver.set_system_cost_limit(limit)
             if hub is not None:
                 hub.publish(
                     "shard_rebalance",
@@ -371,24 +338,11 @@ def _run_lockstep(
                     time=now,
                 )
     finally:
-        for bundle in bundles:
-            bundle.close()
+        for run in runs:
+            run.bundle.close()
 
-    summaries = []
-    for index, (shard_spec, bundle) in enumerate(zip(shard_specs, bundles)):
-        result = ExperimentResult(
-            controller_name=shard_spec.controller,
-            config=bundle.config,
-            classes=bundle.classes,
-            schedule=bundle.schedule,
-            collector=bundle.collector,
-            bundle=bundle,
-        )
-        controller = controllers[index]
-        telemetry = getattr(controller, "telemetry", None)
-        if telemetry is not None:
-            result.extras["telemetry"] = telemetry.store
-        if index < len(publishers):
-            publishers[index].publish_end(result)
-        summaries.append(summarize_result(result, label=_shard_label(index)))
+    summaries = [
+        summarize_result(run.finish(), label=_shard_label(index))
+        for index, run in enumerate(runs)
+    ]
     return summaries, list(limits)

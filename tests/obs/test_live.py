@@ -332,11 +332,12 @@ class TestShardedPublishing:
             result.final_cost_limits
         )
 
-    def test_sharded_results_identical_with_and_without_hub(self):
+    @pytest.mark.parametrize("rebalance", ["static", "interval"])
+    def test_sharded_results_identical_with_and_without_hub(self, rebalance):
         base = ExperimentSpec(controller="qs", config=_tiny_config())
-        with_hub, _ = self._run("static")
+        with_hub, _ = self._run(rebalance)
         without_hub = run_sharded(
-            ShardedExperimentSpec(base=base, shards=2, rebalance="static"),
+            ShardedExperimentSpec(base=base, shards=2, rebalance=rebalance),
             jobs=1,
         )
         assert (

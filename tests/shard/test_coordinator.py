@@ -9,8 +9,10 @@ from repro.config import (
     default_config,
 )
 from repro.errors import ConfigurationError
+from repro.experiments.parallel import summarize_result
 from repro.experiments.runner import ExperimentSpec, run_spec
-from repro.shard import ShardedExperimentSpec, run_sharded
+from repro.faults import ScheduledFault
+from repro.shard import ShardedExperimentSpec, coordinator, run_sharded
 from repro.workloads.schedule import constant_schedule
 
 
@@ -89,6 +91,60 @@ def test_interval_rebalance_runs_and_conserves_budget():
         tiny_config().system_cost_limit
     )
     assert result.report.total_completions > 0
+
+
+def _without_overhead(record):
+    """A telemetry record as a dict, minus its wall-clock ``overhead``."""
+    data = record.to_dict()
+    data.pop("overhead", None)
+    return data
+
+
+def test_single_shard_lockstep_matches_unsharded_run():
+    base = tiny_base()
+    direct = summarize_result(run_spec(base))
+    sharded = run_sharded(
+        ShardedExperimentSpec(base=base, shards=1, rebalance="interval")
+    )
+    assert len(sharded.summaries) == 1
+    summary = sharded.summaries[0]
+    assert summary.total_completions == direct.total_completions
+    assert summary.class_completions == direct.class_completions
+    assert summary.attainment == direct.attainment
+    assert summary.performance_series == direct.performance_series
+    assert len(summary.telemetry_records) == len(direct.telemetry_records) > 0
+    for left, right in zip(summary.telemetry_records, direct.telemetry_records):
+        assert _without_overhead(left) == _without_overhead(right)
+
+
+def test_interval_rebalance_supports_tracing_and_faults(monkeypatch):
+    results = []
+
+    def keep(result, label=None):
+        results.append(result)
+        return summarize_result(result, label=label)
+
+    monkeypatch.setattr(coordinator, "summarize_result", keep)
+    faults = (
+        ScheduledFault(
+            kind="arrival_burst", at=5.0, params={"class_name": "class1", "count": 2}
+        ),
+        ScheduledFault(kind="cancel_storm", at=15.0, params={"fraction": 0.5}),
+    )
+    base = tiny_base().with_overrides(tracing=True, faults=faults)
+    result = run_sharded(
+        ShardedExperimentSpec(base=base, shards=2, rebalance="interval"), jobs=1
+    )
+    assert result.ok
+    assert len(results) == 2
+    for shard_result in results:
+        tracer = shard_result.extras["tracer"]
+        assert tracer.spans
+        assert tracer.balanced
+        assert [entry["fault"] for entry in shard_result.extras["faults"].injected] == [
+            "arrival_burst",
+            "cancel_storm",
+        ]
 
 
 def test_interval_rebalance_requires_serial_execution():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.models import OLAPVelocityModel, OLTPResponseTimeModel
+from repro.core.modeling import OLAPVelocityModel, OLTPResponseTimeModel
 from repro.core.plan import SchedulingPlan
 from repro.core.service_class import (
     ResponseTimeGoal,
