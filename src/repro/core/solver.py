@@ -16,7 +16,7 @@ points; beyond that a greedy unit-reallocation ascent is used.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.modeling import (
     MixSnapshot,
@@ -36,6 +36,8 @@ _EXHAUSTIVE_MAX_CLASSES = 3
 #: Statuses repeat only while measurements are stable, so the cache stays
 #: tiny in practice; the cap merely bounds pathological churn.
 _SOLUTION_CACHE_MAX = 64
+
+_NAN = float("nan")
 
 
 class ClassStatus:
@@ -228,40 +230,17 @@ class PerformanceSolver:
         limits: Sequence[float],
         mix: Optional[MixSnapshot] = None,
     ) -> float:
-        """Total utility of a full candidate allocation."""
-        self._evaluations += 1
-        return sum(
-            self.class_utility(status, limit, mix)
-            for status, limit in zip(statuses, limits)
-        )
+        """Total utility of a full candidate allocation.
 
-    def _memo_objective(
-        self,
-        statuses: Sequence[ClassStatus],
-        memos: List[Dict[int, float]],
-        units: Sequence[int],
-        mix: Optional[MixSnapshot] = None,
-    ) -> float:
-        """:meth:`objective` with per-class utilities memoized by unit count.
-
-        The objective is separable — a sum of per-class utilities, each a
-        function of that class's limit alone — so within one solve a class
-        utility at a given unit count never changes and can be computed
-        once.  The candidate score is still accumulated left-to-right in
-        status order, exactly as :meth:`objective`'s ``sum`` does, so
-        scores (and therefore tie-breaks and chosen plans) are bit-identical
-        to the unmemoized search.
+        Summed left to right in status order from ``0.0`` — the float
+        sequence the searches reproduce from their utility tables.  (An
+        explicit loop, since ``sum`` of floats is compensated from
+        Python 3.12 on.)
         """
         self._evaluations += 1
         score = 0.0
-        grid = self.grid
-        for index, count in enumerate(units):
-            memo = memos[index]
-            utility = memo.get(count)
-            if utility is None:
-                utility = self.class_utility(statuses[index], count * grid, mix)
-                memo[count] = utility
-            score += utility
+        for status, limit in zip(statuses, limits):
+            score += self.class_utility(status, limit, mix)
         return score
 
     # ------------------------------------------------------------------
@@ -365,6 +344,25 @@ class PerformanceSolver:
             for index in range(count)
         )
 
+    def _utility_table(
+        self,
+        status: ClassStatus,
+        counts: range,
+        mix: Optional[MixSnapshot] = None,
+    ) -> List[float]:
+        """One class's utilities for ``counts``, indexed by unit count.
+
+        The objective is separable — a sum of per-class utilities, each a
+        function of that class's limit alone — so within one solve every
+        (class, unit count) utility is computed once and then read from
+        the table.  Counts below ``counts.start`` are never read and hold
+        NaN.
+        """
+        grid = self.grid
+        table = [_NAN] * counts.start
+        table.extend(self.class_utility(status, count * grid, mix) for count in counts)
+        return table
+
     def _solve_exhaustive(
         self,
         statuses: Sequence[ClassStatus],
@@ -372,21 +370,29 @@ class PerformanceSolver:
         min_units: int,
         mix: Optional[MixSnapshot] = None,
     ) -> Tuple[Tuple[int, ...], float]:
-        free_units = total_units - min_units * len(statuses)
-        # Seed with the even split so a degenerate objective (every score
-        # NaN, e.g. a NaN measurement reaching the utility) still yields a
-        # complete allocation instead of the empty tuple.
-        best_units = self._fallback_units(len(statuses), total_units, min_units)
-        best_score = float("nan")
-        memos: List[Dict[int, float]] = [{} for _ in statuses]
-        for combo in _compositions(free_units, len(statuses)):
-            units = tuple(min_units + c for c in combo)
-            score = self._memo_objective(statuses, memos, units, mix)
-            if math.isnan(score):
-                continue
-            if math.isnan(best_score) or score > best_score:
-                best_units, best_score = units, score
-        return best_units, best_score
+        """Best full allocation over every point of the simplex.
+
+        Each class's utilities are tabulated up front for every unit count
+        a candidate can give it; the candidates are then scored from the
+        tables (see :func:`_best_composition`) and each still counts as
+        one evaluation.
+        """
+        count = len(statuses)
+        free_units = total_units - min_units * count
+        self._evaluations += math.comb(free_units + count - 1, count - 1)
+        if count == 1:
+            # One candidate: the class takes the whole budget.
+            counts = range(total_units, total_units + 1)
+        else:
+            counts = range(min_units, min_units + free_units + 1)
+        tables = [self._utility_table(status, counts, mix) for status in statuses]
+        first_units, first_score = _first_scoring(tables, free_units, min_units)
+        if first_units is None:
+            # Every score is NaN (e.g. a NaN measurement reaching the
+            # utility): fall back to the even split so the plan stays a
+            # complete allocation instead of the empty tuple.
+            return self._fallback_units(count, total_units, min_units), first_score
+        return _best_composition(tables, free_units, min_units, first_units, first_score)
 
     def _solve_greedy(
         self,
@@ -412,13 +418,31 @@ class PerformanceSolver:
             index = min(range(count), key=lambda i: units[i])
             units[index] += 1
         # Hill-climb single-unit transfers until no move improves.  A move
-        # only changes the donor's and recipient's unit counts, so with the
-        # per-class memo every candidate rescore costs two utility lookups
-        # (new counts) plus the cheap status-order re-sum; the model and
-        # utility evaluations that used to dominate are computed once per
-        # distinct (class, unit count) pair.
-        memos: List[Dict[int, float]] = [{} for _ in statuses]
-        best_score = self._memo_objective(statuses, memos, units, mix)
+        # changes only the donor's and recipient's unit counts, so each
+        # candidate reads two table entries (filled lazily, ``None`` until
+        # first needed) and re-sums in status order from the first changed
+        # class on; the shared prefix of that left-to-right sum is the
+        # current allocation's, computed once per round.  Scores are thus
+        # the same float sequence :meth:`objective` would produce.
+        grid = self.grid
+        tables: List[List[Optional[float]]] = [
+            [None] * (total_units + 1) for _ in statuses
+        ]
+
+        def utility(index: int, at: int) -> float:
+            table = tables[index]
+            value = table[at]
+            if value is None:
+                value = self.class_utility(statuses[index], at * grid, mix)
+                table[at] = value
+            return value
+
+        current = [utility(index, units[index]) for index in range(count)]
+        prefix = [0.0]
+        for value in current:
+            prefix.append(prefix[-1] + value)
+        best_score = prefix[-1]
+        self._evaluations += 1
         improved = True
         while improved:
             improved = False
@@ -426,26 +450,109 @@ class PerformanceSolver:
             for donor in range(count):
                 if units[donor] <= min_units:
                     continue
+                # The candidate's per-class utilities: the current ones with
+                # the donor's (and, per recipient, the recipient's) swapped.
+                row = list(current)
+                row[donor] = utility(donor, units[donor] - 1)
                 for recipient in range(count):
                     if recipient == donor:
                         continue
-                    units[donor] -= 1
-                    units[recipient] += 1
-                    score = self._memo_objective(statuses, memos, units, mix)
-                    units[donor] += 1
-                    units[recipient] -= 1
+                    row[recipient] = utility(recipient, units[recipient] + 1)
+                    self._evaluations += 1
+                    first = donor if donor < recipient else recipient
+                    score = prefix[first]
+                    for value in row[first:]:
+                        score += value
+                    row[recipient] = current[recipient]
                     if math.isnan(score):
                         continue
                     improves = math.isnan(best_score) or score > best_score
                     if improves and (best_move is None or score > best_move[0]):
                         best_move = (score, donor, recipient)
             if best_move is not None:
-                _, donor, recipient = best_move
+                best_score, donor, recipient = best_move
                 units[donor] -= 1
                 units[recipient] += 1
-                best_score = best_move[0]
+                current[donor] = utility(donor, units[donor])
+                current[recipient] = utility(recipient, units[recipient])
+                for index in range(count):
+                    prefix[index + 1] = prefix[index] + current[index]
                 improved = True
         return tuple(units), best_score
+
+
+def _first_scoring(
+    tables: Sequence[List[float]], free_units: int, min_units: int
+) -> Tuple[Optional[Tuple[int, ...]], float]:
+    """The first candidate in :func:`_compositions` order scoring non-NaN.
+
+    Returns ``(None, nan)`` when every candidate scores NaN.
+    """
+    for combo in _compositions(free_units, len(tables)):
+        units = tuple(min_units + c for c in combo)
+        score = 0.0
+        for table, count in zip(tables, units):
+            score += table[count]
+        if not math.isnan(score):
+            return units, score
+    return None, _NAN
+
+
+def _best_composition(
+    tables: Sequence[List[float]],
+    free_units: int,
+    min_units: int,
+    best_units: Tuple[int, ...],
+    best_score: float,
+) -> Tuple[Tuple[int, ...], float]:
+    """The first candidate reaching the maximum score, at least ``best_score``.
+
+    Walks the candidates in :func:`_compositions` order (head ascending)
+    with the strict ``>`` first-found tie-break.  Each score is the float
+    sequence :meth:`PerformanceSolver.objective` sums — ``((0.0 + t0[a]) +
+    t1[b]) + t2[c]`` — with the prefix over all but the last two classes
+    carried down the loops rather than recomputed.  NaN scores never
+    compare greater, so they are skipped.  The search is seeded with the
+    first non-NaN candidate (:func:`_first_scoring`).
+    """
+    if len(tables) == 1:
+        return best_units, best_score
+    penultimate, last = tables[-2], tables[-1]
+    for prefix_units, prefix_score, remaining in _prefixes(
+        tables[:-2], free_units, min_units, (), 0.0
+    ):
+        # The last class gets what the penultimate one leaves:
+        # (min + remaining) - (units - min) = top - units.
+        top = 2 * min_units + remaining
+        for units in range(min_units, min_units + remaining + 1):
+            score = (prefix_score + penultimate[units]) + last[top - units]
+            if score > best_score:
+                best_score = score
+                best_units = prefix_units + (units, top - units)
+    return best_units, best_score
+
+
+def _prefixes(
+    tables: Sequence[List[float]],
+    remaining: int,
+    min_units: int,
+    units: Tuple[int, ...],
+    score: float,
+) -> Iterator[Tuple[Tuple[int, ...], float, int]]:
+    """Yield ``(units, partial score, free units left)`` for every head assignment.
+
+    Heads ascend per class, the outermost class first — the order of
+    :func:`_compositions`.
+    """
+    if not tables:
+        yield units, score, remaining
+        return
+    table, rest = tables[0], tables[1:]
+    for head in range(remaining + 1):
+        count = min_units + head
+        yield from _prefixes(
+            rest, remaining - head, min_units, units + (count,), score + table[count]
+        )
 
 
 def _compositions(total: int, parts: int):

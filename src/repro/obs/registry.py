@@ -76,13 +76,22 @@ def _render_labels(labels: LabelSet) -> str:
     ) + "}"
 
 
+def _series_key(name: str, labels: LabelSet) -> str:
+    return name + _render_labels(labels)
+
+
 def _finite(value: float) -> float:
     value = float(value)
     return value if math.isfinite(value) else float("nan")
 
 
 class Instrument:
-    """Base class: one named, optionally labelled, measurable value."""
+    """Base class: one named, optionally labelled, measurable value.
+
+    Name and labels are fixed at construction, so the instrument's series
+    key (``name{label="value",...}``, as :meth:`MetricsRegistry.sample`
+    keys it) is rendered once here rather than on every sample.
+    """
 
     kind = "abstract"
 
@@ -94,6 +103,7 @@ class Instrument:
     ) -> None:
         self.name = name
         self.labels = labels
+        self.series_key = _series_key(name, labels)
         self.callback = callback
         self._value = 0.0
 
@@ -219,6 +229,9 @@ class MetricsRegistry:
 
     def __init__(self, max_samples: Optional[int] = None) -> None:
         self._families: Dict[str, _Family] = {}
+        # Every member in (family name, label set) order, built on first
+        # use and dropped whenever a member is created.
+        self._ordered: Optional[List[Instrument]] = None
         self._samples: Deque[Tuple[float, Dict[str, float]]] = deque()
         self._max_samples: Optional[int] = None
         #: Samples evicted from the ring buffer so far (never resets).
@@ -284,6 +297,7 @@ class MetricsRegistry:
         if member is None:
             member = Counter(name, key, callback=callback)
             family.members[key] = member
+            self._ordered = None
         return member  # type: ignore[return-value]
 
     def gauge(
@@ -301,6 +315,7 @@ class MetricsRegistry:
         if member is None:
             member = Gauge(name, key, callback=callback)
             family.members[key] = member
+            self._ordered = None
         return member  # type: ignore[return-value]
 
     def histogram(
@@ -318,6 +333,7 @@ class MetricsRegistry:
         if member is None:
             member = HistogramInstrument(name, key, buckets=buckets)
             family.members[key] = member
+            self._ordered = None
         return member  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -332,10 +348,17 @@ class MetricsRegistry:
         return sum(len(f.members) for f in self._families.values())
 
     def __iter__(self) -> Iterator[Instrument]:
-        for name in self.names:
-            family = self._families[name]
-            for key in sorted(family.members):
-                yield family.members[key]
+        return iter(self._members())
+
+    def _members(self) -> List[Instrument]:
+        """Every member, sorted by family name then label set (cached)."""
+        if self._ordered is None:
+            self._ordered = [
+                family.members[key]
+                for family in (self._families[name] for name in self.names)
+                for key in sorted(family.members)
+            ]
+        return self._ordered
 
     def get(
         self, name: str, labels: Optional[Dict[str, str]] = None
@@ -359,10 +382,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    @staticmethod
-    def _series_key(name: str, labels: LabelSet) -> str:
-        return name + _render_labels(labels)
-
     def sample(self, now: float) -> Dict[str, float]:
         """Snapshot every instrument's value at sim time ``now``.
 
@@ -371,8 +390,8 @@ class MetricsRegistry:
         ``name_count`` / ``name_sum`` entries.
         """
         values: Dict[str, float] = {}
-        for instrument in self:
-            key = self._series_key(instrument.name, instrument.labels)
+        for instrument in self._members():
+            key = instrument.series_key
             if isinstance(instrument, HistogramInstrument):
                 values[key + "_count"] = float(instrument.count)
                 values[key + "_sum"] = instrument.sum
@@ -397,7 +416,7 @@ class MetricsRegistry:
     ) -> List[Tuple[float, float]]:
         """The sampled (time, value) series of one instrument."""
         self.get(name, labels)  # validates existence with a clear error
-        key = self._series_key(name, _label_key(labels))
+        key = _series_key(name, _label_key(labels))
         out: List[Tuple[float, float]] = []
         for time, values in self._samples:
             if key in values:

@@ -1,7 +1,7 @@
-"""Tests for the solver's memoized search and solution cache.
+"""Tests for the solver's table-driven search and solution cache.
 
 The optimized solver must be a pure speedup: for any inputs, the plan it
-produces (and the score it reports) must match a reference solver that
+produces (and the score it reports) must match a reference search that
 re-evaluates the full objective for every candidate allocation, and a
 repeat solve on unchanged inputs must be a cache hit that returns the
 same plan without searching.
@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.core.modeling import OLTPResponseTimeModel
+from repro.core.modeling import OLTPResponseTimeModel, PaperAnalyticModel
 from repro.core.service_class import (
     ResponseTimeGoal,
     ServiceClass,
@@ -28,14 +28,35 @@ from repro.core.utility import PiecewiseLinearUtility
 from repro.obs.registry import MetricsRegistry
 
 
-def make_solver(num_classes=3, system_per_class=10_000.0):
+def make_solver(num_classes=3, system_per_class=10_000.0, model=None):
+    if model is None:
+        model = PaperAnalyticModel(
+            oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6)
+        )
     return PerformanceSolver(
         utility=PiecewiseLinearUtility(),
-        oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6),
+        model=model,
         system_cost_limit=system_per_class * num_classes,
         grid_timerons=1_000.0,
         min_class_limit=1_000.0,
     )
+
+
+class NaNAboveModel(PaperAnalyticModel):
+    """The paper model, except it predicts NaN for limits above a threshold.
+
+    A NaN OLTP response time makes that class's utility NaN, so every
+    candidate giving the OLTP class more than ``threshold`` scores NaN.
+    """
+
+    def __init__(self, threshold):
+        super().__init__(oltp_model=OLTPResponseTimeModel(prior_slope=-4.2e-6))
+        self.threshold = threshold
+
+    def predict(self, status, proposed_limit, mix=None):
+        if proposed_limit > self.threshold:
+            return float("nan")
+        return super().predict(status, proposed_limit, mix)
 
 
 def random_statuses(rng, num_classes):
@@ -65,58 +86,171 @@ def random_statuses(rng, num_classes):
     return statuses
 
 
-def reference_exhaustive(solver, statuses):
-    """Brute-force best allocation using the unmemoized full objective."""
-    count = len(statuses)
+def twin_statuses(rng, num_classes):
+    """Two identical OLAP statuses under different names (plus OLTP for 3).
+
+    Swapping the twins' unit counts leaves a candidate's score unchanged,
+    so every optimum with unequal twin shares is a tie.
+    """
+    goal = VelocityGoal(rng.uniform(0.2, 0.8))
+    importance = rng.randint(1, 3)
+    limit = rng.uniform(2_000.0, 20_000.0)
+    value = rng.uniform(0.05, 0.95)
+    statuses = [
+        ClassStatus(
+            ServiceClass(name, "olap", goal, importance=importance),
+            current_limit=limit,
+            current_value=value,
+        )
+        for name in ("twin_a", "twin_b")
+    ]
+    if num_classes == 3:
+        statuses.append(random_statuses(rng, 1)[0])
+    return statuses
+
+
+def solver_units(solver):
+    """The solver's (min units, total units) search bounds."""
     min_units = max(0, int(round(solver.min_class_limit / solver.grid)))
-    total_units = int(solver.system_cost_limit // solver.grid)
+    return min_units, int(solver.system_cost_limit // solver.grid)
+
+
+def reference_exhaustive(solver, statuses):
+    """Brute-force best allocation using the untabulated full objective.
+
+    Returns the best units, their score and how many candidates scored NaN.
+    """
+    count = len(statuses)
+    min_units, total_units = solver_units(solver)
     free = total_units - min_units * count
-    best_units, best_score = None, float("nan")
+    best_units, best_score, nan_candidates = None, float("nan"), 0
     for combo in _compositions(free, count):
         units = tuple(min_units + c for c in combo)
         limits = [u * solver.grid for u in units]
         score = solver.objective(statuses, limits)
         if math.isnan(score):
+            nan_candidates += 1
             continue
         if math.isnan(best_score) or score > best_score:
             best_units, best_score = units, score
-    return best_units, best_score
+    return best_units, best_score, nan_candidates
+
+
+def reference_greedy(solver, statuses):
+    """The greedy hill-climb, every candidate scored by the full objective.
+
+    Same proportional start, sum repair and best-move rule as the solver;
+    no utility is reused between candidates.
+    """
+    count = len(statuses)
+    min_units, total_units = solver_units(solver)
+    current_total = sum(max(s.current_limit, 1.0) for s in statuses)
+    units = [
+        max(min_units, int(round(max(s.current_limit, 1.0) / current_total * total_units)))
+        for s in statuses
+    ]
+    while sum(units) > total_units:
+        index = max(range(count), key=lambda i: units[i])
+        if units[index] <= min_units:
+            break
+        units[index] -= 1
+    while sum(units) < total_units:
+        units[min(range(count), key=lambda i: units[i])] += 1
+
+    def score(candidate):
+        return solver.objective(statuses, [u * solver.grid for u in candidate])
+
+    best_score = score(units)
+    while True:
+        best_move = None
+        for donor in range(count):
+            if units[donor] <= min_units:
+                continue
+            for recipient in range(count):
+                if recipient == donor:
+                    continue
+                candidate = list(units)
+                candidate[donor] -= 1
+                candidate[recipient] += 1
+                value = score(candidate)
+                if math.isnan(value):
+                    continue
+                improves = math.isnan(best_score) or value > best_score
+                if improves and (best_move is None or value > best_move[0]):
+                    best_move = (value, donor, recipient)
+        if best_move is None:
+            return tuple(units), best_score
+        best_score, donor, recipient = best_move
+        units[donor] -= 1
+        units[recipient] += 1
+
+
+def expected_plan(statuses, units, grid):
+    return {
+        s.service_class.name: u * grid for s, u in zip(statuses, units)
+    }
 
 
 class TestMemoizedSearchConformance:
     def test_exhaustive_matches_unmemoized_reference_randomized(self):
         rng = random.Random(20260808)
-        for _ in range(25):
+        twin_ties = partial_nan = 0
+        for trial in range(75):
+            kind = trial % 3
             num_classes = rng.randint(1, 3)
+            model = None
+            if kind == 0:
+                statuses = random_statuses(rng, num_classes)
+            elif kind == 1:
+                # Ties: the first candidate in _compositions order (the
+                # first twin with fewer units) must win.
+                num_classes = rng.randint(2, 3)
+                statuses = twin_statuses(rng, num_classes)
+            else:
+                # Partial NaN: candidates giving the OLTP class (last)
+                # more than the threshold score NaN and are skipped.
+                num_classes = rng.randint(2, 3)
+                statuses = random_statuses(rng, num_classes)
+                model = NaNAboveModel(rng.uniform(1_000.0, 10_000.0 * num_classes))
+            optimized = make_solver(num_classes, model=model)
+            reference = make_solver(num_classes, model=model)
+            plan = optimized.solve(statuses)
+            ref_units, ref_score, nan_candidates = reference_exhaustive(
+                reference, statuses
+            )
+            assert ref_units is not None
+            assert plan.as_dict() == expected_plan(statuses, ref_units, optimized.grid)
+            assert optimized.last_score == pytest.approx(ref_score, abs=0.0)
+            assert optimized.last_evaluations == reference.evaluations
+            if kind == 1 and ref_units[0] != ref_units[1]:
+                assert ref_units[0] < ref_units[1]
+                twin_ties += 1
+            if kind == 2 and nan_candidates:
+                partial_nan += 1
+        # Both kinds of input actually exercised their edge case.
+        assert twin_ties >= 5
+        assert partial_nan >= 5
+
+    def test_greedy_matches_unmemoized_reference_randomized(self):
+        rng = random.Random(7)
+        for trial in range(20):
+            num_classes = rng.randint(4, 7)
             statuses = random_statuses(rng, num_classes)
+            if trial % 2:
+                # Twins start with equal shares, so moves feeding either
+                # one tie exactly: the first move found must win.
+                statuses[:2] = twin_statuses(rng, 2)
             optimized = make_solver(num_classes)
             reference = make_solver(num_classes)
             plan = optimized.solve(statuses)
-            ref_units, ref_score = reference_exhaustive(reference, statuses)
-            names = [s.service_class.name for s in statuses]
-            expected = {
-                name: units * optimized.grid
-                for name, units in zip(names, ref_units)
-            }
-            assert plan.as_dict() == expected
+            ref_units, ref_score = reference_greedy(reference, statuses)
+            assert plan.as_dict() == expected_plan(statuses, ref_units, optimized.grid)
             assert optimized.last_score == pytest.approx(ref_score, abs=0.0)
-
-    def test_greedy_memoized_matches_fresh_solver_randomized(self):
-        # Beyond the exhaustive cut-off a brute-force reference is too
-        # large; instead two independent solvers (each searching from a
-        # cold cache) must agree exactly — the memo must not change which
-        # moves the hill-climb takes.
-        rng = random.Random(7)
-        for _ in range(10):
-            num_classes = rng.randint(4, 7)
-            statuses = random_statuses(rng, num_classes)
-            first = make_solver(num_classes).solve(statuses)
-            second = make_solver(num_classes).solve(statuses)
-            assert first.as_dict() == second.as_dict()
+            assert optimized.last_evaluations == reference.evaluations
 
     def test_memo_does_not_change_evaluation_count(self):
         # Every candidate allocation is still counted as one evaluation;
-        # the memo only avoids recomputing per-class utilities.
+        # the tables only avoid recomputing per-class utilities.
         rng = random.Random(3)
         statuses = random_statuses(rng, 3)
         solver = make_solver(3)

@@ -157,6 +157,45 @@ class TestSampling:
         with pytest.raises(MetricsError):
             registry.series("missing")
 
+    def test_member_registered_after_sample_takes_its_sorted_place(self):
+        # The sample order is cached; creating a member must invalidate
+        # it, whether the member starts a family or joins one.
+        def populate(registry, late):
+            registry.counter("b_total", labels={"class": "class1"}).inc()
+            registry.gauge("d").set(4.0)
+            registry.histogram("e").observe(0.5)
+            if late:
+                registry.sample(0.0)
+            registry.counter("a_total").inc(2)
+            registry.counter("b_total", labels={"class": "class0"}).inc(3)
+            registry.gauge("c", callback=lambda: 7.0)
+            return registry.sample(1.0)
+
+        late = populate(MetricsRegistry(), late=True)
+        upfront = populate(MetricsRegistry(), late=False)
+        assert list(late) == list(upfront) == [
+            "a_total",
+            'b_total{class="class0"}',
+            'b_total{class="class1"}',
+            "c",
+            "d",
+            "e_count",
+            "e_sum",
+        ]
+        assert late == upfront
+
+    def test_series_resolves_hostile_label_value(self, registry):
+        hostile = 'say "hi"\\path\nnext'
+        gauge = registry.gauge("template_load", labels={"template": hostile})
+        gauge.set(1.0)
+        registry.sample(0.0)
+        gauge.set(2.0)
+        registry.sample(1.0)
+        assert registry.series("template_load", {"template": hostile}) == [
+            (0.0, 1.0),
+            (1.0, 2.0),
+        ]
+
 
 class TestPrometheusExport:
     def test_renders_types_labels_and_values(self, registry):
