@@ -4,24 +4,26 @@ Subcommands::
 
     python -m repro run        # run a controller on the paper workload
     python -m repro run --scenario flash-crowd   # ... or on a named scenario
-    python -m repro run --dashboard              # ... streaming a live dashboard
-    python -m repro serve      # run + live dashboard, held open until Ctrl-C
+    python -m repro run --telemetry t.jsonl      # ... exporting controller telemetry
+    python -m repro run --invariants strict      # ... under the invariant harness
+    python -m repro run --trace-events t.json    # ... tracing query lifecycles
+    python -m repro run --dashboard --linger -1  # ... serving a live dashboard
+    python -m repro spans t.json                 # phase breakdown of a saved trace
     python -m repro scenarios  # list / validate the YAML scenario library
     python -m repro calibrate  # throughput-vs-system-cost-limit sweep
     python -m repro figure     # regenerate one of the paper's figures
-    python -m repro trace      # run the Query Scheduler, dump telemetry JSONL
-    python -m repro check      # run with the invariant harness in strict mode
     python -m repro replicate  # multi-seed controller comparison (--jobs N)
     python -m repro sweep      # config-field sensitivity sweep (--jobs N)
     python -m repro bench      # micro+macro benchmark suite -> BENCH_<n>.json
 
 Every command prints the same ASCII tables the benchmark harness uses, so
 the CLI is the quickest way to poke at the system without writing code.
-``replicate`` and ``sweep`` fan their runs over worker processes with
-``--jobs`` (0 = one per CPU); results are identical at any worker count.
-``--dashboard`` (or ``serve``) attaches the stdlib-only live telemetry
-hub and serves it over HTTP: ``/`` (the embedded dashboard), ``/events``
-(SSE), ``/api/snapshot`` and ``/metrics``.
+``run`` is the one command that executes a single experiment; its flags
+choose what is attached and exported.  ``replicate`` and ``sweep`` fan
+their runs over worker processes with ``--jobs`` (0 = one per CPU);
+results are identical at any worker count.  ``--dashboard`` attaches the
+stdlib-only live telemetry hub and serves it over HTTP: ``/`` (the
+embedded dashboard), ``/events`` (SSE), ``/api/snapshot`` and ``/metrics``.
 """
 
 from __future__ import annotations
@@ -111,42 +113,143 @@ def _scenario_overrides(args: argparse.Namespace, config) -> dict:
         overrides["backend"] = args.backend
     if args.horizon is not None:
         overrides["horizon"] = args.horizon
-    if getattr(args, "model", None):
+    if args.model:
         from repro.experiments.sensitivity import set_config_field
 
         overrides["config"] = set_config_field(config, "planner.model", args.model)
     return overrides
 
 
-def _scenario_result(args: argparse.Namespace, hub=None):
-    """Resolve, compile and run ``--scenario``; returns the result."""
-    from repro.scenarios import find_scenario, to_experiment_spec
+#: The Query Scheduler controllers: the only ones that plan per-class cost
+#: limits and record per-interval telemetry (``run --telemetry``).
+_QS_CONTROLLERS = ("qs", "qs_detect")
 
-    scenario = find_scenario(args.scenario)
-    spec = to_experiment_spec(
-        scenario,
-        smoke=args.smoke,
-        invariants=args.invariants,
-        seed=args.seed,
-    )
-    spec = spec.with_overrides(
-        tracing=bool(args.trace_events), **_scenario_overrides(args, spec.config)
-    )
-    print(
-        "scenario {} (controller={}, backend={}, {} periods x {:g}s, "
-        "invariants={}{})".format(
-            scenario.name,
-            spec.controller,
-            spec.backend,
-            spec.schedule.num_periods,
-            spec.schedule.period_seconds,
-            spec.invariants,
-            ", smoke" if args.smoke else "",
+
+def _resolve_run_spec(args: argparse.Namespace):
+    """The spec ``run`` executes, with its header line printed.
+
+    Returns an :class:`ExperimentSpec`, or a ``ShardedExperimentSpec``
+    when ``--shards N`` (N > 1) or the scenario's own ``shards:`` block
+    asks for a fleet; ``--shards 1`` forces the unsharded path.  Flag
+    combinations the run cannot honour raise :class:`ConfigurationError`.
+    """
+    from repro.errors import ConfigurationError
+    from repro.shard import ShardedExperimentSpec
+
+    if args.smoke and not args.scenario:
+        raise ConfigurationError("--smoke only applies to --scenario runs")
+    scenario = None
+    if args.scenario:
+        from repro.scenarios import find_scenario
+
+        conflicting = [
+            flag
+            for flag, value in (
+                ("--periods", args.periods),
+                ("--period-seconds", args.period_seconds),
+                ("--control-interval", args.control_interval),
+            )
+            if value is not None
+        ]
+        if conflicting:
+            raise ConfigurationError(
+                "{} conflict with --scenario (the scenario owns the "
+                "schedule; use 'control:' overrides in the file)".format(
+                    ", ".join(conflicting)
+                )
+            )
+        scenario = find_scenario(args.scenario)
+    shards = args.shards
+    if shards is None and scenario is not None and scenario.shards is not None:
+        shards = scenario.shards.count
+    sharded = shards is not None and shards > 1
+    if not sharded and (args.router or args.rebalance):
+        raise ConfigurationError(
+            "--router/--rebalance only apply to sharded runs (pass --shards N)"
         )
-    )
-    if scenario.description:
-        print(scenario.description.strip())
-    return run_spec(spec, hub=hub)
+    if sharded and args.trace_events:
+        raise ConfigurationError(
+            "--trace-events is not supported with sharded runs (each shard "
+            "would need its own trace file)"
+        )
+    if scenario is not None:
+        from repro.scenarios import to_experiment_spec, to_sharded_experiment_spec
+
+        if sharded:
+            spec = to_sharded_experiment_spec(
+                scenario,
+                smoke=args.smoke,
+                invariants=args.invariants,
+                seed=args.seed,
+                shards=args.shards,
+                router=args.router,
+                rebalance=args.rebalance,
+            )
+            overrides = _scenario_overrides(args, spec.base.config)
+            if overrides:
+                spec = spec.with_overrides(
+                    base=spec.base.with_overrides(**overrides)
+                ).validate()
+        else:
+            spec = to_experiment_spec(
+                scenario, smoke=args.smoke, invariants=args.invariants, seed=args.seed
+            )
+            spec = spec.with_overrides(
+                tracing=bool(args.trace_events),
+                **_scenario_overrides(args, spec.config),
+            )
+    else:
+        backend = _apply_run_defaults(args)
+        spec = ExperimentSpec(
+            controller=args.controller,
+            config=_build_config(args),
+            invariants=args.invariants or "off",
+            tracing=bool(args.trace_events),
+            backend=backend,
+            horizon=args.horizon,
+        )
+        if sharded:
+            spec = ShardedExperimentSpec(
+                base=spec,
+                shards=shards,
+                router=args.router or "hash",
+                rebalance=args.rebalance or "static",
+            ).validate()
+    base = spec.base if sharded else spec
+    if args.telemetry and base.controller not in _QS_CONTROLLERS:
+        raise ConfigurationError(
+            "controller {!r} produces no telemetry (use qs or qs_detect)".format(
+                base.controller
+            )
+        )
+    if sharded:
+        print(
+            "sharded run: {} ({} shards, router={}, rebalance={}, "
+            "controller={}, invariants={})".format(
+                "scenario {}".format(scenario.name) if scenario else "paper workload",
+                spec.shards,
+                spec.router,
+                spec.rebalance,
+                base.controller,
+                base.invariants,
+            )
+        )
+    elif scenario is not None:
+        print(
+            "scenario {} (controller={}, backend={}, {} periods x {:g}s, "
+            "invariants={}{})".format(
+                scenario.name,
+                spec.controller,
+                spec.backend,
+                spec.schedule.num_periods,
+                spec.schedule.period_seconds,
+                spec.invariants,
+                ", smoke" if args.smoke else "",
+            )
+        )
+        if scenario.description:
+            print(scenario.description.strip())
+    return spec
 
 
 def _start_live(args: argparse.Namespace):
@@ -156,7 +259,7 @@ def _start_live(args: argparse.Namespace):
     ``--port 0`` (the default) binds an ephemeral port; ``--port-file``
     writes the bound port for harnesses that need to find the server.
     """
-    if not getattr(args, "dashboard", False):
+    if not args.dashboard:
         return None, None
     from repro.obs.live import LiveServer, TelemetryHub
 
@@ -184,109 +287,9 @@ def _linger_live(args: argparse.Namespace, server) -> None:
         time.sleep(args.linger)
 
 
-def _stop_live(server) -> None:
-    if server is not None:
-        server.stop()
-
-
-def _cmd_run_sharded(args: argparse.Namespace) -> int:
-    """The ``run --shards`` path: fleet run, merged cross-shard report."""
-    from repro.errors import (
-        ConfigurationError,
-        ExperimentError,
-        InvariantViolation,
-        ScenarioError,
-    )
-    from repro.experiments.runner import ExperimentSpec
-    from repro.shard import (
-        ShardedExperimentSpec,
-        format_sharded_report,
-        run_sharded,
-        save_sharded_report,
-    )
-
-    if args.trace_events:
-        print(
-            "--trace-events is not supported with sharded runs (each shard "
-            "would need its own trace file)",
-            file=sys.stderr,
-        )
-        return 2
-    hub = server = None
-    try:
-        if args.scenario:
-            from repro.scenarios import find_scenario, to_sharded_experiment_spec
-
-            scenario = find_scenario(args.scenario)
-            spec = to_sharded_experiment_spec(
-                scenario,
-                smoke=args.smoke,
-                invariants=args.invariants,
-                seed=args.seed,
-                shards=args.shards,
-                router=args.router,
-                rebalance=args.rebalance,
-            )
-            overrides = _scenario_overrides(args, spec.base.config)
-            if overrides:
-                spec = spec.with_overrides(
-                    base=spec.base.with_overrides(**overrides)
-                ).validate()
-            source = "scenario {}".format(scenario.name)
-        else:
-            backend = _apply_run_defaults(args)
-            base = ExperimentSpec(
-                controller=args.controller,
-                config=_build_config(args),
-                invariants=args.invariants or "off",
-                backend=backend,
-                horizon=args.horizon,
-            )
-            spec = ShardedExperimentSpec(
-                base=base,
-                shards=args.shards if args.shards is not None else 1,
-                router=args.router or "hash",
-                rebalance=args.rebalance or "static",
-            ).validate()
-            source = "paper workload"
-        print(
-            "sharded run: {} ({} shards, router={}, rebalance={}, "
-            "controller={}, invariants={})".format(
-                source,
-                spec.shards,
-                spec.router,
-                spec.rebalance,
-                spec.base.controller,
-                spec.base.invariants,
-            )
-        )
-        hub, server = _start_live(args)
-        result = run_sharded(spec, jobs=_jobs_arg(args), hub=hub)
-    except (ConfigurationError, ScenarioError) as exc:
-        _stop_live(server)
-        print("sharded run error: {}".format(exc), file=sys.stderr)
-        return 2
-    except InvariantViolation as exc:
-        _stop_live(server)
-        print("invariant violation: {}".format(exc), file=sys.stderr)
-        return 1
-    except ExperimentError as exc:
-        _stop_live(server)
-        print("shard failure: {}".format(exc), file=sys.stderr)
-        return 1
-    print()
-    print(format_sharded_report(result.report))
-    if args.output:
-        save_sharded_report(result.report, args.output, overwrite=True)
-        print("wrote {}".format(args.output))
-    _linger_live(args, server)
-    _stop_live(server)
-    return 0 if result.ok else 1
-
-
 def _check_model_arg(args: argparse.Namespace) -> Optional[str]:
     """Early validation of ``--model``; returns an error string or None."""
-    spec = getattr(args, "model", None)
+    spec = args.model
     if not spec:
         return None
     import os
@@ -304,76 +307,85 @@ def _check_model_arg(args: argparse.Namespace) -> Optional[str]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.errors import ScenarioError
+    from repro.errors import (
+        ConfigurationError,
+        ExperimentError,
+        InvariantViolation,
+        ScenarioError,
+    )
+    from repro.shard import ShardedExperimentSpec, run_sharded
 
     model_error = _check_model_arg(args)
     if model_error:
         print("model error: {}".format(model_error), file=sys.stderr)
         return 2
-    if args.smoke and not args.scenario:
-        print("--smoke only applies to --scenario runs", file=sys.stderr)
+    server = None
+    try:
+        spec = _resolve_run_spec(args)
+        hub, server = _start_live(args)
+        if isinstance(spec, ShardedExperimentSpec):
+            code = _report_sharded(
+                args, run_sharded(spec, jobs=_jobs_arg(args), hub=hub)
+            )
+        else:
+            code = _report_run(args, run_spec(spec, hub=hub))
+        _linger_live(args, server)
+        return code
+    except (ConfigurationError, ScenarioError) as exc:
+        label = "scenario error" if isinstance(exc, ScenarioError) else "run error"
+        print("{}: {}".format(label, exc), file=sys.stderr)
         return 2
-    if args.shards is not None and args.shards > 1:
-        return _cmd_run_sharded(args)
-    if (args.router or args.rebalance) and args.shards is None:
-        print(
-            "--router/--rebalance only apply to sharded runs (pass --shards N)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.scenario and args.shards is None:
-        # A scenario with a multi-shard ``shards:`` block takes the
-        # sharded path by itself; --shards 1 forces the unsharded path.
-        try:
-            from repro.scenarios import find_scenario
+    except InvariantViolation as exc:
+        print("invariant violation: {}".format(exc), file=sys.stderr)
+        return 1
+    except ExperimentError as exc:
+        print("run failure: {}".format(exc), file=sys.stderr)
+        return 1
+    finally:
+        if server is not None:
+            server.stop()
 
-            scenario = find_scenario(args.scenario)
-        except ScenarioError as exc:
-            print("scenario error: {}".format(exc), file=sys.stderr)
-            return 2
-        if scenario.shards is not None and scenario.shards.count > 1:
-            return _cmd_run_sharded(args)
-    if args.scenario:
-        conflicting = [
-            flag
-            for flag, value in (
-                ("--periods", args.periods),
-                ("--period-seconds", args.period_seconds),
-                ("--control-interval", args.control_interval),
-            )
-            if value is not None
-        ]
-        if conflicting:
-            print(
-                "{} conflict with --scenario (the scenario owns the "
-                "schedule; use 'control:' overrides in the file)".format(
-                    ", ".join(conflicting)
-                ),
-                file=sys.stderr,
-            )
-            return 2
-        hub, server = _start_live(args)
-        try:
-            result = _scenario_result(args, hub=hub)
-        except ScenarioError as exc:
-            _stop_live(server)
-            print("scenario error: {}".format(exc), file=sys.stderr)
-            return 2
-    else:
-        backend = _apply_run_defaults(args)
-        config = _build_config(args)
-        hub, server = _start_live(args)
-        result = run_spec(
-            ExperimentSpec(
-                controller=args.controller,
-                config=config,
-                invariants=args.invariants or "off",
-                tracing=bool(args.trace_events),
-                backend=backend,
-                horizon=args.horizon,
-            ),
-            hub=hub,
-        )
+
+def _report_sharded(args: argparse.Namespace, result) -> int:
+    """Print and export a fleet run; 1 when a global invariant failed."""
+    from repro.shard import (
+        export_shard_telemetry,
+        format_sharded_report,
+        save_sharded_report,
+    )
+
+    print()
+    print(format_sharded_report(result.report))
+    if args.output:
+        save_sharded_report(result.report, args.output, overwrite=True)
+        print("wrote {}".format(args.output))
+    if args.telemetry:
+        for path in export_shard_telemetry(
+            result.summaries, args.telemetry, overwrite=True
+        ):
+            print("wrote {}".format(path))
+    return 0 if result.ok else 1
+
+
+def _span_problems(tracer) -> List[str]:
+    """Structural span problems plus an unbalanced trace, as lines."""
+    from repro.errors import SimulationError
+
+    problems = tracer.validate()
+    try:
+        tracer.assert_balanced()
+    except SimulationError as exc:
+        problems.append(str(exc))
+    return problems
+
+
+def _report_run(args: argparse.Namespace, result) -> int:
+    """Print and export one run.
+
+    Returns 1 when the trace is malformed or the invariant harness
+    recorded a violation, else 0.
+    """
+    ok = True
     if args.output:
         from repro.metrics.export import save_result
 
@@ -389,6 +401,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 args.trace_events, len(tracer.spans), tracer.balanced
             )
         )
+        problems = _span_problems(tracer)
+        for problem in problems:
+            print("problem: {}".format(problem), file=sys.stderr)
+        ok = not problems
+    store = result.extras.get("telemetry")
+    if args.telemetry:
+        store.save_jsonl(args.telemetry, overwrite=True)
+        print("wrote {} ({} control intervals)".format(args.telemetry, len(store)))
     controller = result.bundle.controller
     describe = getattr(controller, "describe", None)
     if describe is not None:
@@ -398,7 +418,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                               title="Per-period goal metrics"))
     print()
     print(format_summary(result.collector, result.classes, title="Attainment"))
-    if result.controller_name in ("qs", "qs_detect"):
+    if result.controller_name in _QS_CONTROLLERS:
         print()
         print(format_plan_table(
             result.collector,
@@ -419,30 +439,38 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 entry["time"], entry["fault"],
                 " ({})".format(details) if details else "",
             ))
+    if args.telemetry:
+        print()
+        print(format_prediction_summary(
+            store.prediction_error_summary(),
+            title="One-step prediction error per class",
+        ))
+        print()
+        print(_format_dispatcher_balance(store.dispatcher_balance()))
+        print()
+        print(_format_overhead_summary(store.overhead_summary()))
     harness = result.extras.get("validation")
     if harness is not None:
         print()
         print(_format_harness_summary(harness))
-    _linger_live(args, server)
-    _stop_live(server)
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """``repro serve``: a run with the dashboard on, held open afterwards."""
-    args.dashboard = True
-    if args.linger == 0:
-        args.linger = -1.0  # serve until Ctrl-C unless told otherwise
-    return _cmd_run(args)
+        ok = ok and not harness.violations
+    return 0 if ok else 1
 
 
 def _format_harness_summary(harness) -> str:
-    """One block summarising a run's invariant checks."""
+    """One block summarising a run's invariant checks, one line per invariant."""
+    counts = {}
+    for violation in harness.violations:
+        counts[violation.name] = counts.get(violation.name, 0) + 1
     lines = [
         "Invariants ({} registered, {} checks, mode={}):".format(
             len(harness.registry), harness.checks_run, harness.mode
         )
     ]
+    for invariant in harness.registry:
+        lines.append("  {:<32} {:<8} {} violations".format(
+            invariant.name, invariant.severity.name, counts.get(invariant.name, 0)
+        ))
     if not harness.violations:
         lines.append("  no violations")
     for violation in harness.violations:
@@ -450,52 +478,22 @@ def _format_harness_summary(harness) -> str:
     return "\n".join(lines)
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    result = run_experiment(
-        controller=args.controller, config=config, invariants=args.invariants
-    )
-    store = result.extras.get("telemetry")
-    if store is None:
-        print(
-            "controller {!r} produces no telemetry (use qs or qs_detect)".format(
-                args.controller
-            ),
-            file=sys.stderr,
-        )
-        return 2
-    if args.output:
-        store.save_jsonl(args.output, overwrite=True)
-        print("wrote {} ({} control intervals)".format(args.output, len(store)))
-    else:
-        sys.stdout.write(store.to_jsonl())
-    if args.summary:
-        print()
-        print(format_prediction_summary(
-            store.prediction_error_summary(),
-            title="One-step prediction error per class",
-        ))
-        print()
-        print("Dispatcher balance (released = completed + cancelled + in-flight):")
-        for name, counts in sorted(store.dispatcher_balance().items()):
-            print(
-                "  {:<10} released={:<6} completed={:<6} cancelled={:<6} "
-                "in_flight={:<6} queue_cancelled={}".format(
-                    name,
-                    counts["released"],
-                    counts["completed"],
-                    counts["cancelled"],
-                    counts["in_flight"],
-                    counts["queue_cancelled"],
-                )
+def _format_dispatcher_balance(balance) -> str:
+    """One block with each class's dispatcher accounting at run end."""
+    lines = ["Dispatcher balance (released = completed + cancelled + in-flight):"]
+    for name, counts in sorted(balance.items()):
+        lines.append(
+            "  {:<10} released={:<6} completed={:<6} cancelled={:<6} "
+            "in_flight={:<6} queue_cancelled={}".format(
+                name,
+                counts["released"],
+                counts["completed"],
+                counts["cancelled"],
+                counts["in_flight"],
+                counts["queue_cancelled"],
             )
-        print()
-        print(_format_overhead_summary(store.overhead_summary()))
-        harness = result.extras.get("validation")
-        if harness is not None:
-            print()
-            print(_format_harness_summary(harness))
-    return 0
+        )
+    return "\n".join(lines)
 
 
 def _format_overhead_summary(summary) -> str:
@@ -571,22 +569,8 @@ def _cmd_spans(args: argparse.Namespace) -> int:
         validate_spans,
     )
 
-    if args.input is not None:
-        spans = load_spans(args.input)
-        print("loaded {} spans from {}".format(len(spans), args.input))
-    else:
-        config = _build_config(args)
-        result = run_experiment(
-            controller=args.controller, config=config, tracing=True
-        )
-        tracer = result.extras["tracer"]
-        tracer.assert_balanced()
-        spans = tracer.spans
-        print(
-            "traced {} spans across {} queries (balanced)".format(
-                len(spans), len({s.query_id for s in spans})
-            )
-        )
+    spans = load_spans(args.input)
+    print("loaded {} spans from {}".format(len(spans), args.input))
     problems = validate_spans(spans)
     if problems:
         for problem in problems:
@@ -697,33 +681,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             scenario.controller,
         ))
     return 0
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.errors import InvariantViolation
-    from repro.experiments.runner import build_bundle, make_controller
-    from repro.validation import ControlLoopWorld, core_invariants
-
-    config = _build_config(args)
-    if args.list:
-        bundle = build_bundle(config=config)
-        make_controller(bundle, args.controller)
-        registry = core_invariants(ControlLoopWorld.from_bundle(bundle))
-        for invariant in registry:
-            print("{:<32} {:<8} {}".format(
-                invariant.name, invariant.severity.name, invariant.message
-            ))
-        return 0
-    try:
-        result = run_experiment(
-            controller=args.controller, config=config, invariants=args.mode
-        )
-    except InvariantViolation as violation:
-        print("invariant violated: {}".format(violation), file=sys.stderr)
-        return 1
-    harness = result.extras["validation"]
-    print(_format_harness_summary(harness))
-    return 1 if harness.violations else 0
 
 
 def _progress_printer(args: argparse.Namespace):
@@ -1014,8 +971,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_run_arguments(run_parser: argparse.ArgumentParser) -> None:
-    """The full ``run`` option set (shared verbatim by ``serve``)."""
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduction of 'Adapting Mixed Workloads to Meet SLOs "
+                    "in Autonomic DBMSs' (ICDE 2007)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    run_parser = sub.add_parser(
+        "run",
+        help="run a controller on the paper workload or a YAML scenario",
+    )
     run_parser.add_argument("--controller", choices=CONTROLLER_NAMES, default="qs")
     run_parser.add_argument(
         "--scenario", default=None, metavar="NAME|PATH",
@@ -1047,6 +1014,12 @@ def _add_run_arguments(run_parser: argparse.ArgumentParser) -> None:
     run_parser.add_argument(
         "--output", default=None,
         help="write results to a .json or .csv file",
+    )
+    run_parser.add_argument(
+        "--telemetry", default=None, metavar="PATH",
+        help="write the controller's per-interval telemetry JSONL here "
+             "(sharded runs: one PATH.shardNN file per shard) and print "
+             "prediction-error, dispatcher-balance and overhead summaries",
     )
     run_parser.add_argument(
         "--invariants", choices=("off", "warn", "strict"), default=None,
@@ -1104,51 +1077,19 @@ def _add_run_arguments(run_parser: argparse.ArgumentParser) -> None:
     run_parser.add_argument(
         "--linger", type=float, default=0.0, metavar="SECONDS",
         help="keep serving the dashboard this long after the run finishes "
-             "(negative = until Ctrl-C; 'serve' defaults to that)",
+             "(negative = until Ctrl-C)",
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduction of 'Adapting Mixed Workloads to Meet SLOs "
-                    "in Autonomic DBMSs' (ICDE 2007)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_parser = sub.add_parser(
-        "run",
-        help="run a controller on the paper workload or a YAML scenario",
-    )
-    _add_run_arguments(run_parser)
     run_parser.set_defaults(func=_cmd_run)
-
-    serve_parser = sub.add_parser(
-        "serve",
-        help="run an experiment with the live dashboard attached and hold "
-             "the server open afterwards (Ctrl-C to exit); accepts every "
-             "'run' option",
-    )
-    _add_run_arguments(serve_parser)
-    serve_parser.set_defaults(func=_cmd_serve)
 
     spans_parser = sub.add_parser(
         "spans",
-        help="per-query lifecycle span breakdown (fresh traced run, or a "
-             "saved spans JSONL / trace-event JSON / directory)",
+        help="per-query lifecycle span breakdown of a saved trace (write "
+             "one with 'repro run --trace-events PATH')",
     )
     spans_parser.add_argument(
-        "input", nargs="?", default=None,
-        help="spans .jsonl, trace-event .json, or a directory holding one "
-             "(default: run a fresh traced experiment)",
+        "input",
+        help="spans .jsonl, trace-event .json, or a directory holding one",
     )
-    spans_parser.add_argument(
-        "--controller", choices=("qs", "qs_detect"), default="qs"
-    )
-    spans_parser.add_argument("--periods", type=int, default=9)
-    spans_parser.add_argument("--period-seconds", type=float, default=120.0)
-    spans_parser.add_argument("--control-interval", type=float, default=60.0)
-    spans_parser.add_argument("--seed", type=int, default=7)
     spans_parser.add_argument(
         "--top", type=int, default=5,
         help="how many slowest queue waits to list",
@@ -1162,51 +1103,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write Chrome trace-event JSON here",
     )
     spans_parser.set_defaults(func=_cmd_spans)
-
-    trace_parser = sub.add_parser(
-        "trace", help="run the Query Scheduler and export controller telemetry"
-    )
-    trace_parser.add_argument(
-        "--controller", choices=("qs", "qs_detect"), default="qs"
-    )
-    trace_parser.add_argument("--periods", type=int, default=9)
-    trace_parser.add_argument("--period-seconds", type=float, default=120.0)
-    trace_parser.add_argument("--control-interval", type=float, default=60.0)
-    trace_parser.add_argument("--seed", type=int, default=7)
-    trace_parser.add_argument(
-        "--output", default=None,
-        help="write telemetry JSONL here (default: stdout)",
-    )
-    trace_parser.add_argument(
-        "--summary", action="store_true",
-        help="also print prediction-error and accounting summaries",
-    )
-    trace_parser.add_argument(
-        "--invariants", choices=("off", "warn", "strict"), default="warn",
-        help="runtime invariant checking (violations ride in the JSONL)",
-    )
-    trace_parser.set_defaults(func=_cmd_trace)
-
-    check_parser = sub.add_parser(
-        "check",
-        help="run a seeded simulation under the runtime invariant harness",
-    )
-    check_parser.add_argument(
-        "--controller", choices=("qs", "qs_detect"), default="qs"
-    )
-    check_parser.add_argument("--periods", type=int, default=3)
-    check_parser.add_argument("--period-seconds", type=float, default=60.0)
-    check_parser.add_argument("--control-interval", type=float, default=30.0)
-    check_parser.add_argument("--seed", type=int, default=7)
-    check_parser.add_argument(
-        "--mode", choices=("warn", "strict"), default="strict",
-        help="warn records violations; strict fails fast on the first",
-    )
-    check_parser.add_argument(
-        "--list", action="store_true",
-        help="print the registered invariants and exit without running",
-    )
-    check_parser.set_defaults(func=_cmd_check)
 
     scen_parser = sub.add_parser(
         "scenarios",
@@ -1333,7 +1229,8 @@ def build_parser() -> argparse.ArgumentParser:
     train_parser = sub.add_parser(
         "train",
         help="fit a learned performance model from exported telemetry "
-             "JSONL (see 'repro trace'); load it with run --model learned:PATH",
+             "JSONL (see 'repro run --telemetry'); load it with run --model "
+             "learned:PATH",
     )
     train_parser.add_argument(
         "--telemetry", required=True, metavar="PATH",

@@ -1,6 +1,6 @@
 """Offline training from exported controller telemetry.
 
-``repro trace`` (and every Query Scheduler run) exports one
+``repro run --telemetry PATH`` (any Query Scheduler run) exports one
 :class:`~repro.metrics.telemetry.ControlIntervalRecord` per control
 interval as JSONL: per-class measurements, the solver's chosen
 allocation, and the dispatcher's queue/in-flight accounting.  That is
@@ -173,7 +173,7 @@ def load_telemetry_records(path: str) -> List[Dict]:
         return [json.loads(line) for line in handle if line.strip()]
 
 
-def save_model(model: LearnedPerformanceModel, path: str, overwrite: bool = True) -> None:
+def save_model(model: LearnedPerformanceModel, path: str, overwrite: bool = False) -> None:
     """Write a trained model as JSON (the ``repro train`` output)."""
     if not overwrite and os.path.exists(path):
         raise ExportError(

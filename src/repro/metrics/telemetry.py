@@ -19,7 +19,7 @@ into one :class:`ControlIntervalRecord`:
   accounting is leak-free.
 
 Records accumulate in a queryable in-memory :class:`TelemetryStore` and
-export as JSONL (`repro trace` on the command line).
+export as JSONL (`repro run --telemetry PATH` on the command line).
 """
 
 from __future__ import annotations
@@ -96,8 +96,6 @@ class SolverTelemetry:
     objective: Optional[float]
     evaluations: int
     solve_calls: int
-    oltp_slope: Optional[float]
-    oltp_observations: Optional[int]
     #: The performance model's self-description (``model.describe()``) —
     #: name, state summary, per-class weights for learned models.
     model: Dict = field(default_factory=dict)
@@ -109,8 +107,6 @@ class SolverTelemetry:
             "objective": _finite(self.objective),
             "evaluations": self.evaluations,
             "solve_calls": self.solve_calls,
-            "oltp_slope": _finite(self.oltp_slope),
-            "oltp_observations": self.oltp_observations,
             "model": self.model,
         }
 
@@ -416,8 +412,6 @@ class ControllerTelemetry:
             objective=getattr(self.solver, "last_score", None),
             evaluations=getattr(self.solver, "last_evaluations", 0),
             solve_calls=getattr(self.solver, "solve_calls", 0),
-            oltp_slope=description.get("slope"),
-            oltp_observations=description.get("observations"),
             model=description,
         )
         dispatcher_snapshot: Dict[str, DispatcherClassTelemetry] = {}

@@ -12,7 +12,8 @@ Two interchange formats:
   (``"ph": "i"``).  Sim seconds map to trace microseconds.
 
 :func:`load_spans` dispatches on path shape (directory / ``.jsonl`` /
-``.json``) so the ``repro spans`` command can summarise either format.
+``.json``) so ``repro spans`` can summarise either format, including the
+trace ``repro run --trace-events`` writes.
 """
 
 from __future__ import annotations

@@ -406,8 +406,8 @@ class ValidationHarness:
         Violations are appended to the harness's log and, when the current
         telemetry record carries the same timestamp (i.e. the check runs at
         a control-interval boundary), embedded into that record so they
-        ride along in exports and ``repro trace``.  In strict mode any
-        violation of severity ERROR or above raises
+        ride along in exports and ``repro run --telemetry``.  In strict
+        mode any violation of severity ERROR or above raises
         :class:`InvariantViolation` after recording.
         """
         if self.mode == "off":

@@ -42,8 +42,6 @@ def _record(time=0.0, index=0, trigger="scheduled", predictions=None):
             objective=1.5,
             evaluations=42,
             solve_calls=index + 1,
-            oltp_slope=-4.2e-6,
-            oltp_observations=0,
         ),
         dispatcher={
             "class1": DispatcherClassTelemetry(
@@ -223,7 +221,7 @@ class TestLiveTelemetry:
         assert last.solver.evaluations > 0
         assert last.solver.solve_calls == len(store)
         assert last.solver.objective is not None
-        assert last.solver.oltp_slope < 0
+        assert last.solver.model.get("slope") < 0
 
     def test_predictions_and_errors_populated(self, qs_run):
         store = qs_run.extras["telemetry"]
@@ -271,7 +269,7 @@ def test_deficit_allocator_yields_records_without_model_data():
             p.predicted is None for p in record.predictions.values()
         )
         assert record.solver.objective is None
-        assert record.solver.oltp_slope is None
+        assert record.solver.model.get("slope") is None
 
 
 class TestOverheadTelemetry:

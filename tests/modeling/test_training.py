@@ -125,6 +125,17 @@ class TestPersistence:
         assert loaded.observations == model.observations
         assert loaded.to_dict() == model.to_dict()
 
+    def test_save_refuses_to_overwrite_by_default(self, tmp_path):
+        from repro.errors import ExportError
+
+        path = str(tmp_path / "model.json")
+        model = fit_from_records(synthetic_records(4))
+        save_model(model, path)
+        with pytest.raises(ExportError):
+            save_model(model, path)
+        save_model(model, path, overwrite=True)
+        assert load_model(path).to_dict() == model.to_dict()
+
     def test_load_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_model(str(tmp_path / "absent.json"))
@@ -156,8 +167,8 @@ class TestTrainCLI:
         telemetry = str(tmp_path / "telemetry.jsonl")
         model_path = str(tmp_path / "model.json")
         assert main([
-            "trace", "--periods", "2", "--period-seconds", "20",
-            "--control-interval", "10", "--output", telemetry,
+            "run", "--periods", "2", "--period-seconds", "20",
+            "--control-interval", "10", "--telemetry", telemetry,
         ]) == 0
         assert main([
             "train", "--telemetry", telemetry, "--output", model_path,

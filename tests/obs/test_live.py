@@ -468,12 +468,19 @@ class TestCLIWiring:
         assert args.port == 0
         assert args.linger == 2.5
 
-    def test_serve_parser_shares_run_options(self):
+    def test_run_parser_serves_until_interrupt(self):
+        """``run --dashboard --linger -1`` holds the dashboard open and
+        keeps every other run option (sharding, backend)."""
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["serve", "--backend", "sqlite", "--shards", "2", "--port", "0"]
+            [
+                "run", "--dashboard", "--linger", "-1", "--backend", "sqlite",
+                "--shards", "2", "--port", "0",
+            ]
         )
-        assert args.func.__name__ == "_cmd_serve"
+        assert args.func.__name__ == "_cmd_run"
+        assert args.dashboard is True
+        assert args.linger == -1.0
         assert args.backend == "sqlite"
         assert args.shards == 2

@@ -133,8 +133,6 @@ class TestExportShardTelemetry:
                 objective=None,
                 evaluations=0,
                 solve_calls=1,
-                oltp_slope=None,
-                oltp_observations=None,
             ),
             dispatcher={},
         )

@@ -28,6 +28,9 @@ def test_run_qs_prints_plan_table(capsys):
     assert code == 0
     assert "Class cost limits" in out
     assert "Query Scheduler" in out
+    # Telemetry summaries (wall-clock overhead included) need --telemetry.
+    assert "One-step prediction error" not in out
+    assert "Controller overhead" not in out
 
 
 def test_run_rejects_unknown_controller():
@@ -35,14 +38,17 @@ def test_run_rejects_unknown_controller():
         main(["run", "--controller", "chaos"])
 
 
-def test_trace_command_stdout_jsonl(capsys):
+def test_trace_command_stdout_jsonl(tmp_path, capsys):
+    """`run --telemetry` writes one JSONL record per control interval."""
     import json
 
-    code = main(["trace"] + FAST_RUN)
-    out = capsys.readouterr().out
+    path = str(tmp_path / "telemetry.jsonl")
+    code = main(["run", "--telemetry", path] + FAST_RUN)
+    capsys.readouterr()
     assert code == 0
-    lines = [line for line in out.splitlines() if line.strip()]
-    assert lines, "trace produced no JSONL records"
+    with open(path) as handle:
+        lines = [line for line in handle if line.strip()]
+    assert lines, "run --telemetry produced no JSONL records"
     for line in lines:
         record = json.loads(line)
         assert {"time", "interval_index", "trigger", "solver",
@@ -50,13 +56,14 @@ def test_trace_command_stdout_jsonl(capsys):
 
 
 def test_trace_command_writes_file(tmp_path, capsys):
+    """`run --telemetry` reports the file and prints the trace summaries."""
     import json
 
-    path = str(tmp_path / "trace.jsonl")
-    code = main(["trace", "--output", path, "--summary"] + FAST_RUN)
+    path = str(tmp_path / "telemetry.jsonl")
+    code = main(["run", "--telemetry", path] + FAST_RUN)
     out = capsys.readouterr().out
     assert code == 0
-    assert "wrote" in out
+    assert "wrote {} (".format(path) in out
     assert "One-step prediction error" in out
     assert "Dispatcher balance" in out
     with open(path) as handle:
@@ -65,13 +72,23 @@ def test_trace_command_writes_file(tmp_path, capsys):
     assert rows[0]["interval_index"] == 0
 
 
-def test_trace_rejects_non_qs_controller():
-    with pytest.raises(SystemExit):
-        main(["trace", "--controller", "none"] + FAST_RUN)
+def test_trace_rejects_non_qs_controller(tmp_path, capsys):
+    """A telemetry trace needs a controller that records one."""
+    path = tmp_path / "telemetry.jsonl"
+    code = main(
+        ["run", "--controller", "none", "--telemetry", str(path)] + FAST_RUN
+    )
+    assert code == 2
+    assert (
+        "controller 'none' produces no telemetry (use qs or qs_detect)"
+        in capsys.readouterr().err
+    )
+    assert not path.exists()
 
 
 def test_check_command_clean_run(capsys):
-    code = main(["check"] + FAST_RUN)
+    """`run --invariants strict` replaces `check`: a clean run exits 0."""
+    code = main(["run", "--invariants", "strict"] + FAST_RUN)
     out = capsys.readouterr().out
     assert code == 0
     assert "Invariants" in out
@@ -80,7 +97,8 @@ def test_check_command_clean_run(capsys):
 
 
 def test_check_command_list(capsys):
-    code = main(["check", "--list"] + FAST_RUN)
+    """The run's invariant summary lists every registered invariant."""
+    code = main(["run", "--invariants", "strict"] + FAST_RUN)
     out = capsys.readouterr().out
     assert code == 0
     assert "dispatcher_in_flight_consistent" in out
@@ -94,19 +112,77 @@ def test_run_with_invariants_prints_summary(capsys):
     assert code == 0
     assert "Invariants" in out
     assert "no violations" in out
+    assert "0 violations" in out
 
 
-def test_trace_embeds_violations_field(capsys):
+def test_trace_embeds_violations_field(tmp_path, capsys):
+    """The exported telemetry trace carries each interval's violations."""
     import json
 
-    code = main(["trace", "--invariants", "warn"] + FAST_RUN)
-    out = capsys.readouterr().out
+    path = str(tmp_path / "telemetry.jsonl")
+    code = main(
+        ["run", "--invariants", "warn", "--telemetry", path] + FAST_RUN
+    )
     assert code == 0
-    lines = [line for line in out.splitlines() if line.strip()]
-    records = [json.loads(line) for line in lines if line.startswith("{")]
+    with open(path) as handle:
+        records = [json.loads(line) for line in handle if line.strip()]
     assert records
     assert all("violations" in record for record in records)
     assert all(record["violations"] == [] for record in records)
+
+
+def test_run_warn_violation_exits_1(monkeypatch, capsys):
+    import repro.cli as cli_module
+    from repro.validation import Severity, Violation
+
+    real_run_spec = cli_module.run_spec
+
+    def run_spec(spec, hub=None):
+        result = real_run_spec(spec, hub=hub)
+        result.extras["validation"].violations.append(Violation(
+            name="class_conservation", message="injected", severity=Severity.ERROR,
+            time=0.0,
+        ))
+        return result
+
+    monkeypatch.setattr(cli_module, "run_spec", run_spec)
+    code = main(["run", "--invariants", "warn"] + FAST_RUN)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "class_conservation" in out
+    assert "1 violations" in out
+    assert "injected" in out
+
+
+def test_run_periods_zero_is_a_clean_error(capsys):
+    code = main(["run", "--periods", "0"])
+    assert code == 2
+    assert "run error: num_periods must be >= 1" in capsys.readouterr().err
+
+
+def test_run_invariant_violation_exits_1_and_stops_dashboard(monkeypatch, capsys):
+    import repro.cli as cli_module
+    from repro.errors import InvariantViolation
+    from repro.obs.live import LiveServer
+
+    servers = []
+    real_start = LiveServer.start
+
+    def start(self):
+        servers.append(self)
+        return real_start(self)
+
+    def run_spec(spec, hub=None):
+        raise InvariantViolation("[CRITICAL] class_conservation at t=0.0: boom")
+
+    monkeypatch.setattr(LiveServer, "start", start)
+    monkeypatch.setattr(cli_module, "run_spec", run_spec)
+    code = main(["run", "--dashboard", "--port", "0"] + FAST_RUN)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "invariant violation: [CRITICAL] class_conservation" in err
+    assert len(servers) == 1
+    assert not servers[0].running
 
 
 def test_calibrate_command(capsys):
@@ -265,11 +341,30 @@ def test_run_trace_events_writes_chrome_trace(tmp_path, capsys):
     assert any(event.get("ph") == "X" for event in events)
 
 
-def test_spans_command_fresh_run(capsys):
-    code = main(["spans"] + FAST_RUN)
+def test_run_trace_events_rejects_a_malformed_trace(tmp_path, monkeypatch, capsys):
+    import repro.cli as cli_module
+
+    real_run_spec = cli_module.run_spec
+
+    def run_spec(spec, hub=None):
+        result = real_run_spec(spec, hub=hub)
+        result.extras["tracer"].validate = lambda: ["span 3 ends before it begins"]
+        return result
+
+    monkeypatch.setattr(cli_module, "run_spec", run_spec)
+    code = main(["run", "--trace-events", str(tmp_path / "t.json")] + FAST_RUN)
+    assert code == 1
+    assert "problem: span 3 ends before it begins" in capsys.readouterr().err
+
+
+def test_spans_command_fresh_run(tmp_path, capsys):
+    """A fresh traced run is `run --trace-events` followed by `spans`."""
+    path = str(tmp_path / "trace.json")
+    assert main(["run", "--trace-events", path] + FAST_RUN) == 0
+    assert "balanced=True" in capsys.readouterr().out
+    code = main(["spans", path])
     out = capsys.readouterr().out
     assert code == 0
-    assert "balanced" in out
     assert "Per-class phase breakdown" in out
     assert "queue_wait" in out
     assert "execute" in out
@@ -287,11 +382,18 @@ def test_spans_command_from_saved_trace(tmp_path, capsys):
     assert "Per-class phase breakdown" in out
 
 
+def test_spans_command_requires_an_input():
+    with pytest.raises(SystemExit):
+        main(["spans"])
+
+
 def test_spans_command_writes_jsonl(tmp_path, capsys):
     import json
 
+    trace = str(tmp_path / "trace.json")
+    main(["run", "--trace-events", trace] + FAST_RUN)
     path = str(tmp_path / "spans.jsonl")
-    code = main(["spans", "--output", path] + FAST_RUN)
+    code = main(["spans", trace, "--output", path])
     assert code == 0
     assert "wrote" in capsys.readouterr().out
     with open(path) as handle:
@@ -300,8 +402,11 @@ def test_spans_command_writes_jsonl(tmp_path, capsys):
     assert {"query_id", "class", "phase", "begin", "end"} <= set(rows[0])
 
 
-def test_trace_summary_prints_controller_overhead(capsys):
-    code = main(["trace", "--summary"] + FAST_RUN)
+def test_trace_summary_prints_controller_overhead(tmp_path, capsys):
+    """The telemetry trace's summary includes the controller's own cost."""
+    code = main(
+        ["run", "--telemetry", str(tmp_path / "t.jsonl")] + FAST_RUN
+    )
     out = capsys.readouterr().out
     assert code == 0
     assert "Controller overhead (wall-clock per control interval):" in out
@@ -325,6 +430,21 @@ def test_run_sharded_smoke(capsys, tmp_path):
     payload = json.loads(open(path).read())
     assert payload["shards"] == 2
     assert payload["ok"] is True
+
+
+def test_run_sharded_telemetry_writes_one_file_per_shard(tmp_path, capsys):
+    import json
+
+    path = str(tmp_path / "telemetry.jsonl")
+    code = main(["run", "--shards", "2", "--telemetry", path] + FAST_RUN)
+    out = capsys.readouterr().out
+    assert code == 0
+    for index in range(2):
+        shard_file = tmp_path / "telemetry.shard{:02d}.jsonl".format(index)
+        assert "wrote {}".format(shard_file) in out
+        rows = [json.loads(line) for line in shard_file.read_text().splitlines()]
+        assert rows and rows[0]["interval_index"] == 0
+    assert not (tmp_path / "telemetry.jsonl").exists()
 
 
 def test_run_shards_one_uses_unsharded_path(capsys):

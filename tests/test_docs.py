@@ -7,6 +7,7 @@ and the README's command lines are real.
 
 import os
 import re
+import shlex
 
 import pytest
 
@@ -87,3 +88,36 @@ def test_paper_goals_quoted_consistently():
     assert PAPER_CLASSES[2][2] == 0.25
     assert "0.25" in read("EXPERIMENTS.md")
     assert "0.40 / 0.60" in read("EXPERIMENTS.md")
+
+
+def _documented_command_lines():
+    """Every ``repro``/``python -m repro`` line in a fenced code block of
+    README.md and docs/*.md, continuations joined, as ``(file, argv)``."""
+    relpaths = ["README.md"] + sorted(
+        os.path.join("docs", name)
+        for name in os.listdir(os.path.join(REPO, "docs"))
+        if name.endswith(".md")
+    )
+    command = re.compile(r"^(?:\S+=\S+\s+)*(?:python3? -m repro|repro)\s+(.*)$")
+    for relpath in relpaths:
+        for block in re.findall(r"```[^\n]*\n(.*?)```", read(relpath), re.S):
+            for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+                match = command.match(line.strip())
+                if match:
+                    yield relpath, shlex.split(match.group(1), comments=True)
+
+
+def test_documented_command_lines_parse():
+    """The docs' command lines are real: each parses against the CLI."""
+    from repro.cli import build_parser
+
+    lines = list(_documented_command_lines())
+    assert len(lines) >= 25
+    parser = build_parser()
+    for relpath, argv in lines:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail("{}: 'repro {}' does not parse".format(
+                relpath, " ".join(argv)
+            ))
